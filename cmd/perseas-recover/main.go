@@ -50,7 +50,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.namespace, "namespace", "",
 		"PERSEAS namespace the database was created under (see WithNamespace)")
 	fs.IntVar(&cfg.parallel, "parallel", 1,
-		"recovery workers: reconnects, undo scans and database fetches run concurrently, striping reads across the mirrors (1 = the paper's serial recovery)")
+		"recovery workers: reconnects, undo scans and database fetches run concurrently, striping reads across the mirrors (1 = the same recovery run inline on one goroutine)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}

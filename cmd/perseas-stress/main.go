@@ -120,7 +120,7 @@ func main() {
 	flag.IntVar(&cfg.pprofBlock, "pprof-block", 0, "goroutine blocking profile sample rate for /debug/pprof/block on -metrics-addr (0 = off)")
 	flag.IntVar(&cfg.pprofMutex, "pprof-mutex", 0, "mutex contention profile fraction for /debug/pprof/mutex on -metrics-addr (0 = off)")
 	flag.BoolVar(&cfg.recoverChaos, "recover-chaos", false, "self-contained audit: power-fail the primary mid-load with transactions in flight, recover, and prove zero lost commits")
-	flag.IntVar(&cfg.recoverParallel, "recover-parallel", 4, "-recover-chaos: recovery parallelism for the re-attach (1 = the serial recovery path)")
+	flag.IntVar(&cfg.recoverParallel, "recover-parallel", 4, "-recover-chaos: recovery parallelism for the re-attach (1 = the pool's inline case: one goroutine, same code path)")
 	flag.Parse()
 
 	if err := run(os.Stdout, cfg); err != nil {

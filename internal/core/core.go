@@ -240,9 +240,9 @@ type Library struct {
 	flightRec *flight.Recorder
 
 	// recoveryWorkers bounds the goroutines crash recovery may use per
-	// phase. 1 (the default) runs the exact historical serial loops, so
-	// reproduced recovery figures are unchanged unless parallelism is
-	// asked for.
+	// phase. 1 (the default) is the worker pool's inline case: every
+	// phase runs on the recovering goroutine, in order, stopping at the
+	// first error.
 	recoveryWorkers int
 }
 
@@ -284,9 +284,10 @@ func WithTracer(rec *trace.Recorder) Option {
 // scan in parallel (slots hold disjoint ranges, so their scans are
 // independent), database regions fetch through a bounded pool striping
 // read chunks across the surviving mirrors, and rollback/repair
-// publishes batch per region. n <= 1 keeps the paper's serial recovery
-// loop byte-for-byte, so reproduced figures are unaffected by default.
-// The recovered state is identical at every parallelism level.
+// publishes batch per region. Recovery has one code path at every n;
+// n <= 1 is the pool's inline case, which runs each phase's units
+// serially on the caller's goroutine. The recovered state is identical
+// at every parallelism level.
 func WithRecoveryParallelism(n int) Option {
 	return func(l *Library) {
 		if n > 1 {

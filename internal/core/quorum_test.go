@@ -42,6 +42,20 @@ func (s *stallTransport) WriteBatch(writes []transport.BatchWrite) error {
 	return nil
 }
 
+// shortReadTransport answers every non-empty read one byte short — a
+// mirror whose replies arrive truncated.
+type shortReadTransport struct {
+	transport.Transport
+}
+
+func (s shortReadTransport) Read(seg uint32, offset uint64, n uint32) ([]byte, error) {
+	data, err := s.Transport.Read(seg, offset, n)
+	if err == nil && len(data) > 0 {
+		data = data[:len(data)-1]
+	}
+	return data, err
+}
+
 // quorumCrashRig wires a quorum-w library over n mirrors, of which the
 // mirrors named in stalled get a stallTransport (initially passing
 // writes through).
@@ -334,5 +348,89 @@ func TestQuorumRecoveryRollsBackInFlight(t *testing.T) {
 	}
 	for _, m := range mismatches {
 		t.Errorf("post-rollback divergence: %v", m)
+	}
+}
+
+// TestQuorumAttachShortMirrorReads: truncated replies used to be
+// installed silently, and the word merge then sliced past the end of a
+// short metadata snapshot and panicked. A truncating mirror must count
+// as unreadable instead: with one of three truncating, 2-of-3 recovery
+// still reaches enough metadata copies and recovers the committed
+// bytes; with two truncating it reaches too few and Attach fails.
+func TestQuorumAttachShortMirrorReads(t *testing.T) {
+	r := newQuorumCrashRig(t, 3, 2)
+	db, err := r.lib.CreateDB("bank", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.lib.InitDB(db); err != nil {
+		t.Fatal(err)
+	}
+	// Two transactions open at once allocate undo slot 1, whose commit
+	// word sits in the metadata region's last 8 bytes.
+	tx, err := r.lib.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx2, err := r.lib.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.SetRange(db, 32, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.SetRange(db, 64, 6); err != nil {
+		t.Fatal(err)
+	}
+	copy(db.Bytes()[32:], []byte("committed"))
+	copy(db.Bytes()[64:], []byte("second"))
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r.net.WaitCatchUp()
+
+	for _, tc := range []struct {
+		short   int
+		workers int
+	}{{1, 1}, {1, 4}, {2, 1}, {2, 4}} {
+		var mirrors []netram.Mirror
+		for i, srv := range r.servers {
+			tr, err := transport.NewInProc(srv, sci.DefaultParams(), r.clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tp transport.Transport = tr
+			if i < tc.short {
+				tp = shortReadTransport{tr}
+			}
+			mirrors = append(mirrors, netram.Mirror{Name: srv.Label(), T: tp})
+		}
+		net, err := netram.NewClient(mirrors, netram.WithQuorum(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := Attach(net, r.clock, WithRecoveryParallelism(tc.workers))
+		if tc.short >= 2 {
+			if err == nil {
+				t.Fatalf("%d truncating mirrors, %d workers: Attach succeeded on one readable metadata copy", tc.short, tc.workers)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d truncating mirror, %d workers: %v", tc.short, tc.workers, err)
+		}
+		re, err := lib.OpenDB("bank")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(re.Bytes()[32:41]) + " " + string(re.Bytes()[64:70]); got != "committed second" {
+			t.Fatalf("%d truncating mirror, %d workers: recovered %q", tc.short, tc.workers, got)
+		}
+		if len(lib.slots) < 2 {
+			t.Fatalf("recovered %d undo slots, want the second slot the test relies on", len(lib.slots))
+		}
 	}
 }

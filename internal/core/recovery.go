@@ -4,13 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/ics-forth/perseas/internal/flight"
 	"github.com/ics-forth/perseas/internal/hostmem"
 	"github.com/ics-forth/perseas/internal/netram"
 	"github.com/ics-forth/perseas/internal/obs"
+	"github.com/ics-forth/perseas/internal/par"
 	"github.com/ics-forth/perseas/internal/simclock"
 	"github.com/ics-forth/perseas/internal/trace"
 )
@@ -39,48 +38,6 @@ type mirrorCopy struct {
 	buf []byte
 }
 
-// runParallel runs fn(0)..fn(n-1) on up to workers goroutines. With
-// workers <= 1 it is a plain serial loop that stops at the first error.
-// In parallel every index runs regardless of failures and the error of
-// the lowest failing index is returned, so the reported failure does not
-// depend on goroutine scheduling.
-func runParallel(workers, n int, fn func(int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // fetchMetaCopies snapshots the metadata region from every reachable
 // mirror, up to workers at a time. Quorum recovery needs at least n-w+1
 // copies: a commit word acked by w of n mirrors is then guaranteed to
@@ -94,7 +51,7 @@ func (l *Library) fetchMetaCopies(meta *netram.Region, workers int) ([]mirrorCop
 	// Unreachable mirrors are expected here — they are why recovery is
 	// running — so a fetch failure is recorded per index, never returned,
 	// and the remaining mirrors are always tried.
-	_ = runParallel(workers, n, func(i int) error {
+	_ = par.Run(workers, n, func(i int) error {
 		data, err := l.net.FetchMirror(i, meta, 0, meta.Size())
 		if err != nil {
 			errs[i] = err
@@ -140,6 +97,49 @@ type repairOp struct {
 	winner  int
 	holders int
 	recs    []undoRecord
+}
+
+// repairPlan collects the ranges recovery restored in the local image,
+// grouped per database in first-touch order, so each database's mirror
+// copy is repaired by one batched publish of its final local bytes.
+type repairPlan struct {
+	order  []*Database
+	ranges map[*Database][]netram.Range
+}
+
+// restore installs src as rec's bytes in the local image and plans
+// their publish.
+func (p *repairPlan) restore(l *Library, byID map[uint32]*Database, rec undoRecord, src []byte) error {
+	db, ok := byID[rec.dbID]
+	if !ok {
+		// The record references a database dropped after the
+		// transaction aborted; there is nothing left to restore.
+		return nil
+	}
+	if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
+		return fmt.Errorf("perseas: undo record outside database %q", db.name)
+	}
+	l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], src)
+	if p.ranges == nil {
+		p.ranges = make(map[*Database][]netram.Range)
+	}
+	if _, ok := p.ranges[db]; !ok {
+		p.order = append(p.order, db)
+	}
+	p.ranges[db] = append(p.ranges[db], netram.Range{Offset: rec.offset, Length: rec.length})
+	return nil
+}
+
+// publish ships each planned database's ranges through push, up to
+// workers databases at a time.
+func (p *repairPlan) publish(workers int, push func(*netram.Region, []netram.Range) error) error {
+	return par.Run(workers, len(p.order), func(i int) error {
+		db := p.order[i]
+		if err := push(db.region, p.ranges[db]); err != nil {
+			return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
+		}
+		return nil
+	})
 }
 
 // scanMirrorUndoLog parses mirror m's copy of an undo-slot region
@@ -405,15 +405,16 @@ func (l *Library) RecoverWithDecisions(decided map[int]uint64) error {
 }
 
 // recoverLocked is the recovery procedure proper, split into phases.
-// With workers == 1 every phase runs the exact serial loop this package
-// has always run; with workers > 1 the phases whose units are
-// independent — metadata snapshots, slot reconnects and scans, database
-// fetches, repair publishes — spread over a bounded worker pool, and
-// database fetches additionally stripe read chunks across the surviving
-// mirrors. The recovered state is byte-identical either way: slots hold
-// disjoint ranges, staged repairs still apply serially in commit order,
-// and batched publishes ship the same final local bytes the per-record
-// pushes would.
+// Each phase has one code path: the units that are independent —
+// metadata snapshots, slot reconnects and scans, database fetches,
+// repair publishes — run through a bounded worker pool (par.Run) of
+// workers goroutines, and database fetches additionally stripe read
+// chunks across the surviving mirrors. workers == 1 is the pool's
+// inline case: every unit runs on the caller's goroutine in index
+// order and the first error stops the phase. The recovered state is
+// byte-identical at every parallelism: slots hold disjoint ranges,
+// staged repairs apply serially in commit order, and batched publishes
+// ship the same final local bytes per-record pushes would.
 func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[int]uint64) error {
 	q := l.net.Quorum()
 
@@ -460,34 +461,13 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 
 	// Phase 2: reconnect every undo slot and settle its commit word.
 	// Slot 0 always exists; further slots were allocated on demand by
-	// past concurrency and are found by name. Word settlement stays
-	// serial at every parallelism — it is a handful of 8-byte writes and
-	// its meta.Local updates must not race.
+	// past concurrency and are found by name: the connected prefix of
+	// the possible slot names is the slot set (at one worker the probe
+	// stops at the first missing name). Word settlement stays serial at
+	// every parallelism — it is a handful of 8-byte writes and its
+	// meta.Local updates must not race.
 	recovered := []recoveredSlot{}
 	err = l.recoveryStep(root, workers, "slot_connect", &l.recMetrics.SlotConnect, func() error {
-		if workers <= 1 {
-			for k := 0; k < maxUndoSlots; k++ {
-				region, err := l.net.Connect(l.qualify(undoSlotName(k)))
-				if err != nil {
-					if k == 0 {
-						return fmt.Errorf("perseas: reconnect undo log: %w", err)
-					}
-					break
-				}
-				if region.Size() != undoSize {
-					return fmt.Errorf("perseas: undo slot %d size %d does not match metadata %d",
-						k, region.Size(), undoSize)
-				}
-				word, holders, err := l.mergeSlotWord(meta, k, committed0, q, metaCopies, decided)
-				if err != nil {
-					return err
-				}
-				recovered = append(recovered, recoveredSlot{region: region, committed: word, holders: holders})
-			}
-			return nil
-		}
-		// Probe every possible slot name concurrently; the connected
-		// prefix is exactly the slot set the serial probe would find.
 		names := make([]string, maxUndoSlots)
 		for k := range names {
 			names[k] = l.qualify(undoSlotName(k))
@@ -513,57 +493,39 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 		return err
 	}
 
-	// Phase 3: reconnect every database record and copy it back. At
-	// parallelism the regions reconnect through the pool and each image
-	// is fetched in read-chunk stripes spread round-robin across the
-	// surviving mirrors, so the transfer rides their aggregate
-	// bandwidth. Striping is safe mid-recovery: replicas can only
-	// disagree on bytes of some slot's head transaction, and exactly
-	// those ranges are rolled back or repaired after the fetch.
+	// Phase 3: reconnect every database record and copy it back. The
+	// regions reconnect through the pool and each image is fetched in
+	// read-chunk stripes spread round-robin across the surviving
+	// mirrors, so at parallelism the transfer rides their aggregate
+	// bandwidth (at one worker the fetch is a plain FetchInto). Striping
+	// is safe mid-recovery: replicas can only disagree on bytes of some
+	// slot's head transaction, and exactly those ranges are rolled back
+	// or repaired after the fetch.
 	dbs := make(map[string]*Database, len(entries))
 	byID := make(map[uint32]*Database, len(entries))
 	var maxID uint32
 	err = l.recoveryStep(root, workers, "db_fetch", &l.recMetrics.DBFetch, func() error {
-		regions := make([]*netram.Region, len(entries))
-		if workers <= 1 {
-			for i, e := range entries {
-				region, err := l.net.Connect(l.qualify(dbRegionPrefix + e.name))
-				if err != nil {
-					return fmt.Errorf("perseas: reconnect database %q: %w", e.name, err)
-				}
-				if region.Size() != e.size {
-					return fmt.Errorf("perseas: database %q size %d does not match directory %d",
-						e.name, region.Size(), e.size)
-				}
-				if err := l.net.FetchInto(region, 0, region.Size()); err != nil {
-					return fmt.Errorf("perseas: fetch database %q: %w", e.name, err)
-				}
-				regions[i] = region
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = l.qualify(dbRegionPrefix + e.name)
+		}
+		regions, cerr := l.net.ConnectMany(names, workers)
+		if cerr != nil {
+			return fmt.Errorf("perseas: reconnect database %q: %w", entries[len(regions)].name, cerr)
+		}
+		for i, region := range regions {
+			if region.Size() != entries[i].size {
+				return fmt.Errorf("perseas: database %q size %d does not match directory %d",
+					entries[i].name, region.Size(), entries[i].size)
 			}
-		} else {
-			names := make([]string, len(entries))
-			for i, e := range entries {
-				names[i] = l.qualify(dbRegionPrefix + e.name)
+		}
+		if err := par.Run(workers, len(entries), func(i int) error {
+			if err := l.net.FetchIntoStriped(regions[i], workers); err != nil {
+				return fmt.Errorf("perseas: fetch database %q: %w", entries[i].name, err)
 			}
-			regs, cerr := l.net.ConnectMany(names, workers)
-			if cerr != nil {
-				return fmt.Errorf("perseas: reconnect database %q: %w", entries[len(regs)].name, cerr)
-			}
-			for i, region := range regs {
-				if region.Size() != entries[i].size {
-					return fmt.Errorf("perseas: database %q size %d does not match directory %d",
-						entries[i].name, region.Size(), entries[i].size)
-				}
-				regions[i] = region
-			}
-			if err := runParallel(workers, len(entries), func(i int) error {
-				if err := l.net.FetchIntoStriped(regions[i], workers); err != nil {
-					return fmt.Errorf("perseas: fetch database %q: %w", entries[i].name, err)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
+			return nil
+		}); err != nil {
+			return err
 		}
 		for i, e := range entries {
 			db := &Database{id: e.id, name: e.name, region: regions[i]}
@@ -597,7 +559,7 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 	scans := make([]slotScan, len(recovered))
 	var repairs []repairOp
 	err = l.recoveryStep(root, workers, "slot_scan", &l.recMetrics.SlotScan, func() error {
-		if err := runParallel(workers, len(recovered), func(k int) error {
+		if err := par.Run(workers, len(recovered), func(k int) error {
 			rs := recovered[k]
 			if q > 0 {
 				op, prefix, err := l.planSlotRepair(k, rs)
@@ -671,60 +633,21 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 	l.dirEnd = directoryEnd(entries)
 
 	// Phase 5: roll back each slot's in-flight transaction, newest
-	// record first: restore each before-image locally and repair the
-	// mirror copy. At parallelism the local restores still run slot by
-	// slot, newest first, and the repair publish batches the final local
+	// record first: restore each before-image locally, slot by slot, and
+	// repair the mirror copy with one batched publish of the final local
 	// bytes per database — ranges within a transaction may overlap, but
-	// every publish then ships the same fully-restored bytes the
-	// per-record pushes would have converged on.
+	// every publish then ships the same fully-restored bytes per-record
+	// pushes would have converged on.
 	err = l.recoveryStep(root, workers, "rollback", &l.recMetrics.Rollback, func() error {
-		if workers <= 1 {
-			for _, recs := range slotRecs {
-				for i := len(recs) - 1; i >= 0; i-- {
-					rec := recs[i]
-					db, ok := byID[rec.dbID]
-					if !ok {
-						// The record references a database dropped after the
-						// transaction aborted; there is nothing left to restore.
-						continue
-					}
-					if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-						return fmt.Errorf("perseas: undo record outside database %q", db.name)
-					}
-					l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
-					if err := l.net.Push(db.region, rec.offset, rec.length); err != nil {
-						return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
-					}
-				}
-			}
-			return nil
-		}
-		var order []*Database
-		ranges := make(map[*Database][]netram.Range)
+		var plan repairPlan
 		for _, recs := range slotRecs {
 			for i := len(recs) - 1; i >= 0; i-- {
-				rec := recs[i]
-				db, ok := byID[rec.dbID]
-				if !ok {
-					continue
+				if err := plan.restore(l, byID, recs[i], recs[i].data); err != nil {
+					return err
 				}
-				if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-					return fmt.Errorf("perseas: undo record outside database %q", db.name)
-				}
-				l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
-				if _, ok := ranges[db]; !ok {
-					order = append(order, db)
-				}
-				ranges[db] = append(ranges[db], netram.Range{Offset: rec.offset, Length: rec.length})
 			}
 		}
-		return runParallel(workers, len(order), func(i int) error {
-			db := order[i]
-			if err := l.net.PushMany(db.region, ranges[db]); err != nil {
-				return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
-			}
-			return nil
-		})
+		return plan.publish(workers, l.net.PushMany)
 	})
 	if err != nil {
 		return err
@@ -736,10 +659,11 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 	// never clobber bytes another slot still needs to read. Forward
 	// repairs apply in commit order (descending holder count — see
 	// repairOp); rollbacks apply last, because an in-flight claim is
-	// always the newest writer of its bytes. At parallelism the winner
-	// fetches run concurrently up front (the mirrors are untouched until
-	// publish, so the bytes read are the same), the local applies keep
-	// their serial commit order, and the publishes batch per database.
+	// always the newest writer of its bytes. The winner fetches run
+	// through the pool up front (the mirrors are untouched until
+	// publish, so the bytes read are the same as fetching in apply
+	// order), the local applies keep their serial commit order, and the
+	// publishes batch per database.
 	if len(repairs) > 0 {
 		err = l.recoveryStep(root, workers, "quorum_repair", &l.recMetrics.Repair, func() error {
 			sort.SliceStable(repairs, func(i, j int) bool {
@@ -749,46 +673,9 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 				}
 				return a.forward && a.holders > b.holders
 			})
-			if workers <= 1 {
-				type pubRange struct {
-					db  *Database
-					off uint64
-					n   uint64
-				}
-				var pub []pubRange
-				for _, op := range repairs {
-					for i := len(op.recs) - 1; i >= 0; i-- {
-						rec := op.recs[i]
-						db, ok := byID[rec.dbID]
-						if !ok {
-							continue
-						}
-						if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-							return fmt.Errorf("perseas: undo record outside database %q", db.name)
-						}
-						if op.forward {
-							data, err := l.net.FetchMirror(op.winner, db.region, rec.offset, rec.length)
-							if err != nil {
-								return fmt.Errorf("perseas: re-fetch committed range of %q: %w", db.name, err)
-							}
-							l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], data)
-						} else {
-							l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
-						}
-						pub = append(pub, pubRange{db: db, off: rec.offset, n: rec.length})
-					}
-				}
-				for _, p := range pub {
-					if err := l.net.PushAcked(p.db.region, p.off, p.n); err != nil {
-						return fmt.Errorf("perseas: repair mirror of %q: %w", p.db.name, err)
-					}
-				}
-				return nil
-			}
-			// Prefetch every forward repair's winner bytes concurrently.
-			// Records with a dropped database or bad bounds are skipped
-			// here; the serial apply loop below reports them exactly as
-			// the serial path would.
+			// Prefetch every forward repair's winner bytes. Records with
+			// a dropped database or bad bounds are skipped here; the
+			// serial apply loop below reports them.
 			type fetchJob struct{ op, rec int }
 			var jobs []fetchJob
 			pre := make([][][]byte, len(repairs))
@@ -809,7 +696,7 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 					jobs = append(jobs, fetchJob{op: i, rec: j})
 				}
 			}
-			if err := runParallel(workers, len(jobs), func(n int) error {
+			if err := par.Run(workers, len(jobs), func(n int) error {
 				j := jobs[n]
 				op := &repairs[j.op]
 				rec := op.recs[j.rec]
@@ -825,36 +712,21 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 			}); err != nil {
 				return err
 			}
-			var order []*Database
-			ranges := make(map[*Database][]netram.Range)
+			var plan repairPlan
 			for i := range repairs {
 				op := &repairs[i]
 				for j := len(op.recs) - 1; j >= 0; j-- {
-					rec := op.recs[j]
-					db, ok := byID[rec.dbID]
-					if !ok {
-						continue
-					}
-					if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-						return fmt.Errorf("perseas: undo record outside database %q", db.name)
-					}
+					src := op.recs[j].data
 					if op.forward {
-						l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], pre[i][j])
-					} else {
-						l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
+						src = pre[i][j]
 					}
-					if _, ok := ranges[db]; !ok {
-						order = append(order, db)
+					if err := plan.restore(l, byID, op.recs[j], src); err != nil {
+						return err
 					}
-					ranges[db] = append(ranges[db], netram.Range{Offset: rec.offset, Length: rec.length})
 				}
 			}
-			return runParallel(workers, len(order), func(i int) error {
-				db := order[i]
-				if err := l.net.PushManyAckedTraced(db.region, ranges[db], nil); err != nil {
-					return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
-				}
-				return nil
+			return plan.publish(workers, func(r *netram.Region, rs []netram.Range) error {
+				return l.net.PushManyAckedTraced(r, rs, nil)
 			})
 		})
 		if err != nil {
@@ -873,7 +745,7 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 	// zeroes.
 	if q > 0 {
 		err = l.recoveryStep(root, workers, "undo_republish", &l.recMetrics.Republish, func() error {
-			return runParallel(workers, len(recovered), func(k int) error {
+			return par.Run(workers, len(recovered), func(k int) error {
 				rs := recovered[k]
 				if rs.prefix > 0 {
 					if err := l.net.PushAcked(rs.region, 0, rs.prefix); err != nil {

@@ -302,7 +302,7 @@ func (g *Guardian) RegisterMetrics(reg *obs.Registry) {
 }
 
 // RebuildPipeline reports the client's rebuild bulk-copy read-ahead
-// depth (1 = the sequential historical copy loop).
+// depth (1 = the copy pool's inline, sequential case).
 func (g *Guardian) RebuildPipeline() int { return g.client.RebuildPipeline() }
 
 // SparesLeft reports how many standby nodes remain in the pool.

@@ -10,6 +10,8 @@ package netram
 //  2. Connect used to return early when a mirror disagreed on a region's
 //     size, leaking the segment references already taken on the mirrors
 //     that had answered.
+//  3. A read that fit in one chunk skipped the reply-length check, so a
+//     short reply installed a truncated image with no error.
 
 import (
 	"bytes"
@@ -24,11 +26,13 @@ import (
 )
 
 // countingReads wraps a transport and counts Read calls, optionally
-// failing every read after the first failAfter calls.
+// failing every read after the first failAfter calls, or answering
+// every non-empty read one byte short while short is set.
 type countingReads struct {
 	transport.Transport
 	reads     atomic.Int64
 	failAfter int64 // 0 = never fail
+	short     atomic.Bool
 }
 
 func (c *countingReads) Read(seg uint32, offset uint64, n uint32) ([]byte, error) {
@@ -36,7 +40,11 @@ func (c *countingReads) Read(seg uint32, offset uint64, n uint32) ([]byte, error
 	if c.failAfter > 0 && calls > c.failAfter {
 		return nil, errors.New("injected read failure")
 	}
-	return c.Transport.Read(seg, offset, n)
+	data, err := c.Transport.Read(seg, offset, n)
+	if err == nil && len(data) > 0 && c.short.Load() {
+		data = data[:len(data)-1]
+	}
+	return data, err
 }
 
 // newCountingRig builds a client over nMirrors in-process nodes whose
@@ -132,6 +140,53 @@ func TestFetchChunkedFailsOverWholeMirror(t *testing.T) {
 	}
 	if n := counters[1].reads.Load(); n != 8 {
 		t.Errorf("mirror 1 served %d reads, want all 8 chunks", n)
+	}
+}
+
+// TestShortReadFailsOver: a mirror whose replies come back one byte
+// short must count as a failed read on both the single-chunk fast path
+// and the multi-chunk loop. Fetch and the striped fetch fall over to the
+// healthy mirror; FetchMirror, which cannot fall over, reports an error.
+func TestShortReadFailsOver(t *testing.T) {
+	for _, chunk := range []uint64{0, 8} {
+		var opts []Option
+		if chunk > 0 {
+			opts = append(opts, WithReadChunk(chunk))
+		}
+		client, _, counters := newCountingRig(t, 2, opts...)
+		reg, err := client.Malloc("db", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range reg.Local {
+			reg.Local[i] = byte(i + 1)
+		}
+		if err := client.PushAll(reg); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), reg.Local...)
+		counters[0].short.Store(true)
+
+		got, err := client.Fetch(reg, 0, 64)
+		if err != nil {
+			t.Fatalf("chunk %d: fetch: %v", chunk, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("chunk %d: fetch accepted a short reply: got %d bytes", chunk, len(got))
+		}
+		clear(reg.Local)
+		if err := client.FetchIntoStriped(reg, 2); err != nil {
+			t.Fatalf("chunk %d: striped fetch: %v", chunk, err)
+		}
+		if !bytes.Equal(reg.Local, want) {
+			t.Fatalf("chunk %d: striped fetch installed a short reply", chunk)
+		}
+		if _, err := client.FetchMirror(0, reg, 0, 64); err == nil {
+			t.Fatalf("chunk %d: FetchMirror accepted a short reply", chunk)
+		}
+		if got, err := client.FetchMirror(1, reg, 0, 64); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("chunk %d: FetchMirror from the healthy mirror: %v", chunk, err)
+		}
 	}
 }
 

@@ -98,10 +98,13 @@ type fanoutCall struct {
 	refs atomic.Int32
 
 	// Quorum join state, guarded by mu; cond wakes the dispatcher as
-	// acks and failures arrive.
+	// acks and failures arrive. fenced counts the failures that are
+	// errQuorumMirrorDown drops: writes never attempted because their
+	// mirror was degraded first.
 	mu             sync.Mutex
 	cond           *sync.Cond
 	acks, fails    int
+	fenced         int
 	firstErr       error
 	firstName      string
 	minEnd, maxEnd time.Duration
@@ -180,7 +183,7 @@ func (c *Client) putCall(call *fanoutCall) {
 		call.writes[k] = transport.BatchWrite{}
 	}
 	call.spans = call.spans[:0]
-	call.acks, call.fails = 0, 0
+	call.acks, call.fails, call.fenced = 0, 0, 0
 	call.firstErr, call.firstName = nil, ""
 	call.minEnd, call.maxEnd = 0, 0
 	call.async = false
@@ -255,6 +258,9 @@ func (c *Client) finishQuorumJob(j *fanoutJob) {
 	j.done = true
 	if j.err != nil {
 		call.fails++
+		if j.err == errQuorumMirrorDown {
+			call.fenced++
+		}
 		// Jobs finish out of order, so "first" is arrival order here —
 		// the join only needs one representative failure.
 		if call.firstErr == nil {
@@ -550,14 +556,16 @@ func (c *Client) pushParallelQuorum(r *Region, call *fanoutCall, off uint64, dat
 	// Never demand more acks than mirrors written: a degraded mirror
 	// set keeps committing on whoever is left, the same
 	// availability-over-strictness policy the all-ack path has always
-	// applied by skipping down mirrors.
-	need := c.quorumW
-	if nDispatched < need {
-		need = nDispatched
-	}
-
+	// applied by skipping down mirrors. A mirror degraded after
+	// dispatch but before its write ran is not written either, so it
+	// leaves the count the same way.
+	var need int
 	call.mu.Lock()
-	for call.acks < need && nDispatched-call.fails >= need {
+	for {
+		need = max(1, min(c.quorumW, nDispatched-call.fenced))
+		if call.acks >= need || nDispatched-call.fails < need {
+			break
+		}
 		call.cond.Wait()
 	}
 	acks := call.acks

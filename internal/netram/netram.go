@@ -176,11 +176,11 @@ type Client struct {
 	// goroutine per mirror slot, started lazily on the first push that
 	// can go parallel; callPool recycles per-dispatch latches and
 	// scratch so the steady-state push path allocates nothing.
-	// rebuildPipeline is the read-ahead depth of RebuildMirror's bulk
-	// copy: 1 (the default) runs the exact historical read-then-write
-	// loop from the first survivor; n >= 2 keeps up to n chunk reads in
-	// flight, striped round-robin across the surviving replicas, while
-	// chunks write to the replacement.
+	// rebuildPipeline is the worker count of RebuildMirror's chunk copy
+	// pool: each chunk reads from its round-robin survivor and writes to
+	// the replacement. 1 (the default) is the pool's inline case, a
+	// sequential read-then-write loop; n >= 2 keeps up to n chunks in
+	// flight.
 	rebuildPipeline int
 
 	serialFanout bool
@@ -232,11 +232,11 @@ func WithReadChunk(n uint64) Option {
 	}
 }
 
-// WithRebuildPipeline sets the rebuild bulk copy's read-ahead depth: up
-// to n chunk reads stay in flight, striped round-robin across the
-// surviving replicas, while completed chunks write to the replacement.
-// 1 (and any n below it) keeps the historical strictly sequential
-// read-then-write loop from the first survivor.
+// WithRebuildPipeline sets the rebuild copy's depth: up to n chunks are
+// in flight, each read from its round-robin survivor and written to the
+// replacement, so one chunk's read overlaps another's write. 1 (and any
+// n below it) is the copy pool's inline case: the same chunks move in a
+// sequential read-then-write loop on the rebuilding goroutine.
 func WithRebuildPipeline(n int) Option {
 	return func(c *Client) {
 		if n > 1 {
@@ -853,26 +853,31 @@ func (c *Client) FetchTraced(r *Region, offset, n uint64, tt *trace.TxTrace) ([]
 }
 
 // readChunked reads n bytes at offset from one mirror, splitting the
-// transfer into reads of at most c.readChunk bytes. A mid-transfer
-// failure fails the whole read — the caller falls over to the next
-// mirror, never stitching two nodes' bytes together.
+// transfer into reads of at most c.readChunk bytes. Every read's reply
+// length is checked, so a short reply fails like a transport error. A
+// mid-transfer failure fails the whole read — the caller falls over to
+// the next mirror, never stitching two nodes' bytes together.
 func (c *Client) readChunked(m Mirror, seg uint32, offset, n uint64) ([]byte, error) {
-	if n <= c.readChunk {
-		return m.T.Read(seg, offset, uint32(n))
-	}
-	out := make([]byte, 0, n)
-	for done := uint64(0); done < n; {
-		step := n - done
-		if step > c.readChunk {
-			step = c.readChunk
-		}
-		data, err := m.T.Read(seg, offset+done, uint32(step))
+	read := func(off, step uint64) ([]byte, error) {
+		data, err := m.T.Read(seg, off, uint32(step))
 		if err != nil {
 			return nil, err
 		}
 		if uint64(len(data)) != step {
 			return nil, fmt.Errorf("netram: short read from mirror %s: got %d of %d bytes",
 				m.Name, len(data), step)
+		}
+		return data, nil
+	}
+	if n <= c.readChunk {
+		return read(offset, n)
+	}
+	out := make([]byte, 0, n)
+	for done := uint64(0); done < n; {
+		step := min(n-done, c.readChunk)
+		data, err := read(offset+done, step)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, data...)
 		done += step

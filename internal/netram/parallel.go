@@ -14,55 +14,31 @@ package netram
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"github.com/ics-forth/perseas/internal/par"
 	"github.com/ics-forth/perseas/internal/transport"
 )
 
 // ConnectMany re-maps the named regions after a crash, connecting up to
-// workers names concurrently. The successfully connected prefix of
-// names is appended to the client's region list in input order —
-// exactly the order a serial Connect loop would have produced — and
-// returned; the error that stopped the prefix (nil if every name
-// connected) rides along. Connections past the first failure are
-// released, so a missing name mid-list leaves nothing attached.
+// workers names concurrently through the par.Run pool. The successfully
+// connected prefix of names is appended to the client's region list in
+// input order — exactly the order a serial Connect loop would have
+// produced — and returned; the error that stopped the prefix (nil if
+// every name connected) rides along. Connections past the first failure
+// are released, so a missing name mid-list leaves nothing attached.
 //
-// With workers <= 1 the names connect serially on the caller's
-// goroutine, still under a single topology lock acquisition.
+// With workers <= 1 the pool runs inline: names connect serially on the
+// caller's goroutine, still under a single topology lock acquisition,
+// and nothing past the first missing name is probed.
 func (c *Client) ConnectMany(names []string, workers int) ([]*Region, error) {
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
 	regs := make([]*Region, len(names))
 	errs := make([]error, len(names))
-	if workers > len(names) {
-		workers = len(names)
-	}
-	if workers <= 1 {
-		for i, name := range names {
-			regs[i], errs[i] = c.connectRegion(name)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(names) {
-						return
-					}
-					regs[i], errs[i] = c.connectRegion(names[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	_ = par.Run(workers, len(names), func(i int) error {
+		regs[i], errs[i] = c.connectRegion(names[i])
+		return errs[i]
+	})
 	n := len(names)
 	var stop error
 	for i, err := range errs {
@@ -83,12 +59,13 @@ func (c *Client) ConnectMany(names []string, workers int) ([]*Region, error) {
 
 // FetchIntoStriped restores r.Local in full, striping read-chunk pieces
 // round-robin across every mirror holding the segment so the transfer
-// rides the aggregate bandwidth of the surviving nodes. Each chunk
-// falls over to the remaining mirrors individually before failing the
-// fetch. Safe during recovery for the same reason FetchInto is: any
-// byte on which replicas may still disagree belongs to a head
-// transaction of some undo slot, and recovery rolls back or repairs
-// exactly those ranges after the fetch.
+// rides the aggregate bandwidth of the surviving nodes; up to workers
+// chunks are in flight through the par.Run pool. Each chunk falls over
+// to the remaining mirrors individually before failing the fetch. Safe
+// during recovery for the same reason FetchInto is: any byte on which
+// replicas may still disagree belongs to a head transaction of some
+// undo slot, and recovery rolls back or repairs exactly those ranges
+// after the fetch.
 //
 // With workers <= 1 it is FetchInto(r, 0, r.Size()) verbatim.
 func (c *Client) FetchIntoStriped(r *Region, workers int) error {
@@ -109,38 +86,11 @@ func (c *Client) FetchIntoStriped(r *Region, workers int) error {
 	}
 	size := r.Size()
 	nChunks := int((size + c.readChunk - 1) / c.readChunk)
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nChunks {
-					return
-				}
-				off := uint64(ci) * c.readChunk
-				n := size - off
-				if n > c.readChunk {
-					n = c.readChunk
-				}
-				if err := c.fetchChunkStriped(r, eligible, ci, off, n); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := par.Run(workers, nChunks, func(ci int) error {
+		off := uint64(ci) * c.readChunk
+		return c.fetchChunkStriped(r, eligible, ci, off, min(size-off, c.readChunk))
+	}); err != nil {
+		return err
 	}
 	c.metrics.FetchLatency.ObserveDuration(c.clock.Now() - start)
 	return nil

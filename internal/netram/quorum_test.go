@@ -207,6 +207,52 @@ func TestQuorumCatchUpOverflowDegradesMirror(t *testing.T) {
 	}
 }
 
+// TestQuorumFencedStragglerLeavesCount: with mirror A already down, a
+// 2-of-3 push goes to B and C and needs both. If C is then degraded
+// before its queued write runs, the write is dropped, not written, so
+// C leaves the ack count exactly as a mirror that was down at dispatch
+// does: B's ack alone completes the push.
+func TestQuorumFencedStragglerLeavesCount(t *testing.T) {
+	c, servers, gate := newQuorumRig(t, 3, 2)
+	reg, err := c.Malloc("db", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Park C's sender on a first write; A and B ack it.
+	copy(reg.Local, []byte("first"))
+	if err := c.Push(reg, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MarkMirrorDown(0); err != nil {
+		t.Fatal(err)
+	}
+
+	copy(reg.Local[64:], []byte("second"))
+	done := make(chan error, 1)
+	go func() { done <- c.Push(reg, 64, 6) }()
+	select {
+	case err := <-done:
+		t.Fatalf("push returned (%v) with one ack while C was slow but live", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	if err := c.MarkMirrorDown(2); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("push failed after its straggler was fenced off: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("push did not return after its straggler was fenced off")
+	}
+	if got := mirrorBytes(t, servers[1], "db", 64, 6); !bytes.Equal(got, []byte("second")) {
+		t.Errorf("surviving mirror B holds %q", got)
+	}
+}
+
 // TestQuorumRaceMirrorDeathAndRebuild is the quorum-mode twin of
 // TestFanoutRaceMirrorDeathAndRebuild: concurrent quorum pushes while a
 // mirror dies and is rebuilt onto a spare. The rebuild's drain-then-copy

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"github.com/ics-forth/perseas/internal/flight"
+	"github.com/ics-forth/perseas/internal/par"
 	"github.com/ics-forth/perseas/internal/trace"
 	"github.com/ics-forth/perseas/internal/transport"
 )
@@ -339,144 +340,69 @@ func (c *Client) regionByName(name string, locked bool) *Region {
 }
 
 // rebuildCopy copies [off,off+n) of r from surviving replicas onto the
-// replacement segment h, in chunks of at most readChunk bytes. With
-// locked false each chunk takes the topology read lock only for its
-// survivor read, so a multi-gigabyte copy never blocks a push for more
-// than one chunk. At pipeline depth 1 (the default) chunks move in a
-// strictly sequential read-then-write loop from the first survivor; at
-// depth n >= 2 up to n chunk reads stay in flight, striped round-robin
-// across the survivors, while completed chunks write to the
-// replacement — the read of chunk N+1 overlaps the write of chunk N.
-// gone=true reports the region was freed mid-copy.
+// replacement segment h, in chunks of at most readChunk bytes, through a
+// par.Run pool of rebuild-pipeline-depth workers. Each worker reads its
+// chunk from the chunk's rotated survivor — consecutive chunks read
+// from different nodes — and writes it to the replacement; at depth 1
+// the pool runs inline, a strictly sequential read-then-write loop,
+// and at depth n >= 2 up to n chunks are in flight, so one chunk's
+// read overlaps another's write. With locked false each chunk takes
+// the topology read lock only for its survivor read, so a
+// multi-gigabyte copy never blocks a push for more than one chunk.
+// Chunks are disjoint, so completion order does not matter; progress
+// updates are serialised, so onProgress is never called concurrently.
+// A gone or failed chunk stops the chunks not yet read. gone=true
+// reports the region was freed mid-copy.
 func (c *Client) rebuildCopy(m Mirror, h transport.SegmentHandle, r *Region, off, n uint64, skip int, locked bool, copied *uint64, epoch int, onProgress func(RebuildProgress)) (bool, error) {
 	nChunks := int((n + c.readChunk - 1) / c.readChunk)
-	if c.rebuildPipeline > 1 && nChunks > 1 {
-		return c.rebuildCopyPipelined(m, h, r, off, n, nChunks, skip, locked, copied, epoch, onProgress)
-	}
-	for done := uint64(0); done < n; {
-		step := n - done
-		if step > c.readChunk {
-			step = c.readChunk
+	var (
+		stop, gone atomic.Bool
+		progressMu sync.Mutex
+	)
+	err := par.Run(c.RebuildPipeline(), nChunks, func(ci int) error {
+		if stop.Load() {
+			return nil
 		}
+		chunkOff := off + uint64(ci)*c.readChunk
+		step := min(off+n-chunkOff, c.readChunk)
 		read := func() ([]byte, bool, error) {
 			if !locked {
 				c.topoMu.RLock()
 				defer c.topoMu.RUnlock()
 			}
-			return c.survivorReadLocked(r, skip, off+done, step, 0)
+			return c.survivorReadLocked(r, skip, chunkOff, step, ci)
 		}
-		data, gone, err := read()
-		if err != nil {
-			return false, err
+		data, g, err := read()
+		switch {
+		case g:
+			gone.Store(true)
+		case err == nil:
+			if werr := m.T.Write(h.ID, chunkOff, data); werr != nil {
+				err = fmt.Errorf("netram: rebuild write %q to %s: %w", r.Name, m.Name, werr)
+			}
 		}
-		if gone {
-			return true, nil
+		if g || err != nil {
+			stop.Store(true)
+			return err
 		}
-		if err := m.T.Write(h.ID, off+done, data); err != nil {
-			return false, fmt.Errorf("netram: rebuild write %q to %s: %w", r.Name, m.Name, err)
-		}
-		done += step
+		progressMu.Lock()
+		defer progressMu.Unlock()
 		*copied += step
 		c.metrics.RebuildBytes.Add(step)
 		if onProgress != nil {
 			onProgress(RebuildProgress{Region: r.Name, CopiedBytes: *copied, Epoch: epoch})
 		}
-	}
-	return false, nil
-}
-
-// rebuildChunk is one chunk moving through the pipelined rebuild copy.
-type rebuildChunk struct {
-	off  uint64
-	data []byte
-	gone bool
-	err  error
-}
-
-// rebuildCopyPipelined is rebuildCopy's read-ahead path: pipeline-depth
-// reader goroutines pull chunk indices, read each chunk from its
-// round-robin survivor (taking the topology read lock per chunk exactly
-// like the sequential path, so the dirty-epoch discipline is
-// unchanged), and the caller's goroutine writes completed chunks to the
-// replacement. Chunks are disjoint, so completion order does not
-// matter; a failed or gone chunk stops the readers at their next pull.
-func (c *Client) rebuildCopyPipelined(m Mirror, h transport.SegmentHandle, r *Region, off, n uint64, nChunks, skip int, locked bool, copied *uint64, epoch int, onProgress func(RebuildProgress)) (bool, error) {
-	depth := c.rebuildPipeline
-	if depth > nChunks {
-		depth = nChunks
-	}
-	var next atomic.Int64
-	var stop atomic.Bool
-	results := make(chan rebuildChunk, depth)
-	var wg sync.WaitGroup
-	for w := 0; w < depth; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nChunks || stop.Load() {
-					return
-				}
-				chunkOff := off + uint64(ci)*c.readChunk
-				step := off + n - chunkOff
-				if step > c.readChunk {
-					step = c.readChunk
-				}
-				read := func() ([]byte, bool, error) {
-					if !locked {
-						c.topoMu.RLock()
-						defer c.topoMu.RUnlock()
-					}
-					return c.survivorReadLocked(r, skip, chunkOff, step, ci)
-				}
-				data, gone, err := read()
-				results <- rebuildChunk{off: chunkOff, data: data, gone: gone, err: err}
-				if gone || err != nil {
-					return
-				}
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	var firstErr error
-	gone := false
-	for ch := range results {
-		if firstErr != nil || gone {
-			continue // draining after failure
-		}
-		switch {
-		case ch.err != nil:
-			firstErr = ch.err
-			stop.Store(true)
-		case ch.gone:
-			gone = true
-			stop.Store(true)
-		default:
-			if err := m.T.Write(h.ID, ch.off, ch.data); err != nil {
-				firstErr = fmt.Errorf("netram: rebuild write %q to %s: %w", r.Name, m.Name, err)
-				stop.Store(true)
-				continue
-			}
-			step := uint64(len(ch.data))
-			*copied += step
-			c.metrics.RebuildBytes.Add(step)
-			if onProgress != nil {
-				onProgress(RebuildProgress{Region: r.Name, CopiedBytes: *copied, Epoch: epoch})
-			}
-		}
-	}
-	return gone, firstErr
+		return nil
+	})
+	return gone.Load(), err
 }
 
 // survivorReadLocked reads [off,off+n) of r from a live replica other
 // than the slot being rebuilt, with the topology lock held by the
 // caller. rot rotates the starting replica among the survivors — the
-// pipelined copy passes the chunk index so consecutive chunks read
-// from different nodes — and the remaining survivors serve as
-// fallbacks in order; rot 0 reproduces the historical first-survivor
-// choice. gone=true reports the region is no longer live.
+// copy passes the chunk index so consecutive chunks read from
+// different nodes — and the remaining survivors serve as fallbacks in
+// order. gone=true reports the region is no longer live.
 func (c *Client) survivorReadLocked(r *Region, skip int, off, n uint64, rot int) ([]byte, bool, error) {
 	alive := false
 	for _, reg := range c.regions {
@@ -498,14 +424,9 @@ func (c *Client) survivorReadLocked(r *Region, skip int, off, n uint64, rot int)
 	var lastErr error
 	for a := 0; a < len(candidates); a++ {
 		j := candidates[(rot+a)%len(candidates)]
-		data, err := c.mirrors[j].T.Read(r.handles[j].ID, off, uint32(n))
+		data, err := c.readChunked(c.mirrors[j], r.handles[j].ID, off, n)
 		if err != nil {
 			lastErr = err
-			continue
-		}
-		if uint64(len(data)) != n {
-			lastErr = fmt.Errorf("netram: short read from mirror %s: got %d of %d bytes",
-				c.mirrors[j].Name, len(data), n)
 			continue
 		}
 		c.metrics.RebuildSourceBytes[j].Add(n)

@@ -132,6 +132,107 @@ func TestRebuildCatchesConcurrentPushes(t *testing.T) {
 	}
 }
 
+// TestRebuildPipelineDepths rebuilds a dead mirror at pipeline depth 1,
+// 2 and 4 while a goroutine keeps pushing. At every depth the replica
+// set must come out byte-identical, the bulk copy must read from both
+// survivors (each chunk starts at its rotated survivor), and progress
+// must be reported monotonically by one caller at a time — the race
+// detector covers the callback's unsynchronised state.
+func TestRebuildPipelineDepths(t *testing.T) {
+	for _, depth := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			r := newRig(t, 3, WithReadChunk(512), WithRebuildPipeline(depth))
+			if got := r.client.RebuildPipeline(); got != depth {
+				t.Fatalf("RebuildPipeline() = %d, want %d", got, depth)
+			}
+			var regs []*Region
+			for k := 0; k < 2; k++ {
+				reg, err := r.client.Malloc(fmt.Sprintf("r%d", k), 1<<15)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range reg.Local {
+					reg.Local[i] = byte(i*3 + k)
+				}
+				if err := r.client.PushAll(reg); err != nil {
+					t.Fatal(err)
+				}
+				regs = append(regs, reg)
+			}
+			r.servers[2].Crash()
+			if err := r.client.MarkMirrorDown(2); err != nil {
+				t.Fatal(err)
+			}
+
+			stop := make(chan struct{})
+			started := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reg := regs[1]
+				for seq := 1; ; seq++ {
+					off := uint64(seq*192) % (reg.Size() - 64)
+					for i := uint64(0); i < 64; i++ {
+						reg.Local[off+i] = byte(seq)
+					}
+					if err := r.client.Push(reg, off, 64); err != nil {
+						t.Errorf("concurrent push: %v", err)
+						return
+					}
+					if seq == 1 {
+						close(started)
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			<-started
+
+			var (
+				calls    int
+				inside   bool
+				last     uint64
+				progress []string
+			)
+			spare, _ := spareMirror(t, r, "spare")
+			err := r.client.RebuildMirror(2, spare, func(p RebuildProgress) {
+				if inside {
+					progress = append(progress, "re-entered")
+				}
+				inside = true
+				if p.CopiedBytes < last {
+					progress = append(progress, fmt.Sprintf("copied went back from %d to %d", last, p.CopiedBytes))
+				}
+				last = p.CopiedBytes
+				calls++
+				inside = false
+			})
+			close(stop)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, msg := range progress {
+				t.Error("onProgress:", msg)
+			}
+			if calls == 0 || last < 2<<15 {
+				t.Fatalf("onProgress saw %d calls and %d copied bytes, want every chunk of 2 x %d bytes", calls, last, 1<<15)
+			}
+			if mm, verr := r.client.VerifyAll(); verr != nil || len(mm) != 0 {
+				t.Fatalf("verify after depth-%d rebuild: %v %v", depth, mm, verr)
+			}
+			src := r.client.RebuildSourceBytes()
+			if src[0] == 0 || src[1] == 0 || src[2] != 0 {
+				t.Fatalf("rebuild source bytes per mirror = %v, want both survivors and not the dead slot", src)
+			}
+		})
+	}
+}
+
 func TestRebuildBlocksTopologyChanges(t *testing.T) {
 	r := newRig(t, 2)
 	if _, err := r.client.Malloc("seg", 16384); err != nil {

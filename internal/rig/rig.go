@@ -93,13 +93,11 @@ type Config struct {
 	Quorum int
 	// RecoveryParallelism, when > 1, lets PERSEAS crash recovery use
 	// that many workers per phase (core.WithRecoveryParallelism). 0 and
-	// 1 keep the paper's serial recovery loop, so reproduced recovery
-	// figures are untouched.
+	// 1 run the same recovery code inline on one goroutine.
 	RecoveryParallelism int
-	// RebuildPipeline, when > 1, double-buffers the guardian rebuild's
-	// bulk copy at that read-ahead depth and stripes its reads across
-	// the surviving mirrors (netram.WithRebuildPipeline). 0 and 1 keep
-	// the sequential copy loop.
+	// RebuildPipeline, when > 1, keeps that many chunks of the guardian
+	// rebuild's copy in flight (netram.WithRebuildPipeline). 0 and 1 run
+	// the same copy inline, one chunk at a time.
 	RebuildPipeline int
 }
 

@@ -219,6 +219,10 @@ type Server struct {
 	gate convoy
 	// serial is the SerialCommit gate: one commit at a time.
 	serial sync.Mutex
+	// image orders writes into the database images (commit bytes,
+	// loads, abort restores) against OpTxRead's copies out of them.
+	// Range claims keep writers apart, but a read takes no claim.
+	image sync.RWMutex
 
 	m Metrics
 }
@@ -450,7 +454,9 @@ func (s *Server) releaseConn(c *srvConn) {
 		st.mu.Lock()
 		if !st.done {
 			st.done = true
+			s.image.Lock()
 			_ = st.tx.Abort()
+			s.image.Unlock()
 			s.liveTxs.Add(-1)
 			s.m.TxsAborted.Inc()
 		}
@@ -650,6 +656,26 @@ func (s *Server) handleCommit(c *srvConn, req *wire.Request) *wire.Response {
 	// Apply the client's final bytes, each write validated against the
 	// transaction's declared ranges — the server never lets one client
 	// scribble outside what the conflict table granted it.
+	if resp := s.applyCommitBytes(st, req); resp != nil {
+		return resp
+	}
+	sp := s.tracer.LinkedSpanFrom(trace.LayerServer, "serve_commit", st.traceID, req.TraceSpan)
+	err := s.commit(st.tx.Commit)
+	sp.EndN(uint64(len(req.Batch)))
+	s.dropTx(st)
+	if err != nil {
+		return engineFail(req, err)
+	}
+	s.m.TxsCommitted.Inc()
+	return &wire.Response{Status: wire.StatusOK, ID: req.ID}
+}
+
+// applyCommitBytes copies a commit's batch into the database images,
+// returning the failure response for an entry outside the transaction's
+// declared ranges or naming an unknown database.
+func (s *Server) applyCommitBytes(st *serverTx, req *wire.Request) *wire.Response {
+	s.image.Lock()
+	defer s.image.Unlock()
 	for _, e := range req.Batch {
 		if !st.covers(e.Seg, e.Offset, uint64(len(e.Data))) {
 			return fail(req, wire.TxBadRequest,
@@ -662,15 +688,7 @@ func (s *Server) handleCommit(c *srvConn, req *wire.Request) *wire.Response {
 		}
 		copy(db.db.Bytes()[e.Offset:], e.Data)
 	}
-	sp := s.tracer.LinkedSpanFrom(trace.LayerServer, "serve_commit", st.traceID, req.TraceSpan)
-	err := s.commit(st.tx.Commit)
-	sp.EndN(uint64(len(req.Batch)))
-	s.dropTx(st)
-	if err != nil {
-		return engineFail(req, err)
-	}
-	s.m.TxsCommitted.Inc()
-	return &wire.Response{Status: wire.StatusOK, ID: req.ID}
+	return nil
 }
 
 // covers reports whether [off, off+n) of db lies inside one declared
@@ -707,7 +725,9 @@ func (s *Server) handleAbort(c *srvConn, req *wire.Request) *wire.Response {
 		return fail(req, wire.TxUnknownTx, "txserver: transaction %d already finished", req.Tx)
 	}
 	sp := s.tracer.LinkedSpanFrom(trace.LayerServer, "serve_abort", st.traceID, req.TraceSpan)
+	s.image.Lock()
 	err := st.tx.Abort()
+	s.image.Unlock()
 	sp.End()
 	s.dropTx(st)
 	if err != nil {
@@ -768,7 +788,9 @@ func (s *Server) handleRead(req *wire.Request) *wire.Response {
 			req.Offset, req.Length, len(b))
 	}
 	out := make([]byte, req.Length)
+	s.image.RLock()
 	copy(out, b[req.Offset:end])
+	s.image.RUnlock()
 	return &wire.Response{Status: wire.StatusOK, ID: req.ID, Data: out}
 }
 
@@ -789,7 +811,9 @@ func (s *Server) handleLoad(req *wire.Request) *wire.Response {
 		return fail(req, wire.TxBadRequest, "txserver: load [%d,+%d) outside database of %d bytes",
 			req.Offset, len(req.Data), len(b))
 	}
+	s.image.Lock()
 	copy(b[req.Offset:end], req.Data)
+	s.image.Unlock()
 	return &wire.Response{Status: wire.StatusOK, ID: req.ID}
 }
 
