@@ -765,7 +765,7 @@ func rebuildOnce(depth, nMirrors, nRegions int, regionSize, chunk uint64, delay 
 		for i := range reg.Local {
 			reg.Local[i] = byte(r + i)
 		}
-		if err := c.PushAcked(reg, 0, regionSize); err != nil {
+		if err := c.PushWith(reg, []netram.Range{{Length: regionSize}}, netram.PushOpts{AllAck: true}); err != nil {
 			return 0, err
 		}
 	}
@@ -1132,6 +1132,7 @@ func runFanout(w io.Writer, txs int) error {
 		"results":        results,
 	}
 	if quorumW > 0 {
+		out["experiment"] = "quorum"
 		out["quorum"] = quorumW
 	}
 	benchResults = out

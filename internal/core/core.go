@@ -374,7 +374,7 @@ func Init(net *netram.Client, clock simclock.Clock, opts ...Option) (*Library, e
 	// Acked on every mirror: recovery reads the metadata region from
 	// whichever mirror it reaches first, so quorum mode must not leave a
 	// lagging copy behind. Identical to PushAll under all-ack.
-	if err := net.PushAllAcked(meta); err != nil {
+	if err := net.PushWith(meta, []netram.Range{{Length: meta.Size()}}, netram.PushOpts{AllAck: true}); err != nil {
 		return nil, fmt.Errorf("perseas: publish metadata: %w", err)
 	}
 	return l, nil
@@ -513,7 +513,7 @@ func (l *Library) InitDB(db engine.DB) error {
 	l.mu.Unlock()
 	// Acked everywhere: the initial image is the baseline every replica
 	// and every future repair builds on.
-	if err := l.net.PushAllAcked(d.region); err != nil {
+	if err := l.net.PushWith(d.region, []netram.Range{{Length: d.region.Size()}}, netram.PushOpts{AllAck: true}); err != nil {
 		return fmt.Errorf("perseas: mirror database %q: %w", d.name, err)
 	}
 	return nil
@@ -625,7 +625,7 @@ func (l *Library) writeDirectoryLocked() error {
 	// Acked everywhere: recovery parses the directory from a single
 	// mirror's metadata copy, so quorum mode may not commit a directory
 	// change that some replica has not seen.
-	if err := l.net.PushAllAcked(l.meta); err != nil {
+	if err := l.net.PushWith(l.meta, []netram.Range{{Length: l.meta.Size()}}, netram.PushOpts{AllAck: true}); err != nil {
 		return fmt.Errorf("perseas: publish directory: %w", err)
 	}
 	return nil

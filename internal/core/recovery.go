@@ -307,7 +307,7 @@ func (l *Library) mergeSlotWord(meta *netram.Region, k int, committed0 uint64, q
 		}
 		if merged != word || stale {
 			binary.BigEndian.PutUint64(meta.Local[wordOff:], merged)
-			if err := l.net.PushAcked(meta, wordOff, 8); err != nil {
+			if err := l.net.PushWith(meta, []netram.Range{{Offset: wordOff, Length: 8}}, netram.PushOpts{AllAck: true}); err != nil {
 				return 0, nil, fmt.Errorf("perseas: republish commit word of slot %d: %w", k, err)
 			}
 			word = merged
@@ -320,7 +320,7 @@ func (l *Library) mergeSlotWord(meta *netram.Region, k int, committed0 uint64, q
 		// transaction's records as committed.
 		wordOff := slotWordOffset(meta.Size(), k)
 		binary.BigEndian.PutUint64(meta.Local[wordOff:], d)
-		if err := l.net.PushAcked(meta, wordOff, 8); err != nil {
+		if err := l.net.PushWith(meta, []netram.Range{{Offset: wordOff, Length: 8}}, netram.PushOpts{AllAck: true}); err != nil {
 			return 0, nil, fmt.Errorf("perseas: publish decided commit word: %w", err)
 		}
 		word = d
@@ -726,7 +726,7 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 				}
 			}
 			return plan.publish(workers, func(r *netram.Region, rs []netram.Range) error {
-				return l.net.PushManyAckedTraced(r, rs, nil)
+				return l.net.PushWith(r, rs, netram.PushOpts{AllAck: true})
 			})
 		})
 		if err != nil {
@@ -748,7 +748,7 @@ func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[i
 			return par.Run(workers, len(recovered), func(k int) error {
 				rs := recovered[k]
 				if rs.prefix > 0 {
-					if err := l.net.PushAcked(rs.region, 0, rs.prefix); err != nil {
+					if err := l.net.PushWith(rs.region, []netram.Range{{Length: rs.prefix}}, netram.PushOpts{AllAck: true}); err != nil {
 						return fmt.Errorf("perseas: republish undo log: %w", err)
 					}
 				}

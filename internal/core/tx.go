@@ -205,7 +205,7 @@ func (t *Tx) SetRange(db engine.DB, offset, length uint64) error {
 	if !l.noRemoteUndo {
 		phase = l.clock.Now()
 		up := t.tt.Start(trace.LayerCore, "undo_push")
-		if err := l.net.PushTraced(t.slot.region, recOff, recordHeaderSize+length, t.tt); err != nil {
+		if err := l.net.PushWith(t.slot.region, []netram.Range{{Offset: recOff, Length: recordHeaderSize + length}}, netram.PushOpts{Trace: t.tt}); err != nil {
 			up.End()
 			sr.End()
 			return fmt.Errorf("perseas: push undo record: %w", err)
@@ -390,16 +390,12 @@ func (t *Tx) pushRanges(parent trace.SpanRef, merged []pending, allAck bool) err
 			scratch = append(scratch, netram.Range{Offset: merged[j].offset, Length: merged[j].length})
 		}
 		t.scratch = scratch
-		// Record the run as pushed BEFORE the attempt: PushMany can
+		// Record the run as pushed BEFORE the attempt: the push can
 		// fail after reaching a subset of the mirrors, and a range that
 		// reached even one mirror must be re-pushed by Abort or that
 		// mirror's database silently diverges from local.
 		t.pushed = append(t.pushed, merged[i:j]...)
-		push := l.net.PushManyTraced
-		if allAck {
-			push = l.net.PushManyAckedTraced
-		}
-		if err := push(db.region, scratch, t.tt); err != nil {
+		if err := l.net.PushWith(db.region, scratch, netram.PushOpts{Trace: t.tt, AllAck: allAck}); err != nil {
 			rp.End()
 			parent.End()
 			return fmt.Errorf("perseas: push database ranges: %w", err)
@@ -431,7 +427,7 @@ func (t *Tx) publishWord(parent trace.SpanRef, prevWord uint64) error {
 	phase := l.clock.Now()
 	wp := t.tt.Start(trace.LayerCore, "word_push")
 	binary.BigEndian.PutUint64(meta.Local[t.slot.wordOff:], t.id)
-	if err := l.net.PushTraced(meta, t.slot.wordOff, 8, t.tt); err != nil {
+	if err := l.net.PushWith(meta, []netram.Range{{Offset: t.slot.wordOff, Length: 8}}, netram.PushOpts{Trace: t.tt}); err != nil {
 		// Roll the local commit word back; the transaction stays
 		// uncommitted and can be retried or aborted.
 		binary.BigEndian.PutUint64(meta.Local[t.slot.wordOff:], prevWord)
@@ -524,10 +520,10 @@ func (t *Tx) Abort() error {
 	}
 
 	// Repair mirrors touched by a partially executed Commit. t.pushed
-	// includes groups whose PushMany failed partway — a range that
+	// includes groups whose push failed partway — a range that
 	// reached even one mirror needs its restored content re-pushed.
 	for _, r := range t.pushed {
-		if err := l.net.PushTraced(r.db.region, r.offset, r.length, t.tt); err != nil {
+		if err := l.net.PushWith(r.db.region, []netram.Range{{Offset: r.offset, Length: r.length}}, netram.PushOpts{Trace: t.tt}); err != nil {
 			ab.End()
 			return fmt.Errorf("perseas: repair mirror after failed commit: %w", err)
 		}

@@ -2,6 +2,7 @@ package netram
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -208,39 +209,96 @@ func TestSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestPushAllocsZero pins the allocation-free steady-state commit path:
-// after warm-up, Push and PushMany over a 2-mirror parallel fan-out
-// allocate nothing.
+// after warm-up, Push and PushMany over a 2-mirror parallel fan-out, and
+// over a 2-of-3 quorum client whose stragglers write from the pooled
+// payload snapshot, allocate nothing.
 func TestPushAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	r := newRig(t, 2)
-	reg, err := r.client.Malloc("db", 4096)
-	if err != nil {
-		t.Fatal(err)
+	clients := []struct {
+		name    string
+		mirrors int
+		opts    []Option
+	}{
+		{"all-ack", 2, nil},
+		{"quorum", 3, []Option{WithQuorum(2)}},
 	}
-	ranges := []Range{{Offset: 0, Length: 64}, {Offset: 512, Length: 200}, {Offset: 2048, Length: 9}}
-	for i := 0; i < 8; i++ { // warm the worker pool and scratch buffers
-		if err := r.client.Push(reg, 128, 64); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.client.PushMany(reg, ranges); err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range clients {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, tc.mirrors, tc.opts...)
+			reg, err := r.client.Malloc("db", 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranges := []Range{{Offset: 0, Length: 64}, {Offset: 512, Length: 200}, {Offset: 2048, Length: 9}}
+			for i := 0; i < 8; i++ { // warm the worker pool and scratch buffers
+				if err := r.client.Push(reg, 128, 64); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.client.PushMany(reg, ranges); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.client.WaitCatchUp()
+			if n := testing.AllocsPerRun(100, func() {
+				if err := r.client.Push(reg, 128, 64); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("Push allocates %.1f objects per run, want 0", n)
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				if err := r.client.PushMany(reg, ranges); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("PushMany allocates %.1f objects per run, want 0", n)
+			}
+		})
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := r.client.Push(reg, 128, 64); err != nil {
+}
+
+// TestInlineWorkerErrorEquivalence pins the error path of the two
+// dispatch modes: a mirror that fails both write attempts but still
+// answers pings surfaces the same error whether the jobs run inline
+// (WithSerialFanout) or on the sender workers. Either way every other
+// mirror receives the bytes, and the failing mirror, being alive, is
+// not degraded.
+func TestInlineWorkerErrorEquivalence(t *testing.T) {
+	errFirst := errors.New("transient connection reset")
+	errRetry := errors.New("frame rejected")
+	run := func(opts ...Option) string {
+		r := newRig(t, 3)
+		mirrors := append([]Mirror(nil), r.client.mirrors...)
+		mirrors[1].T = &errSeq{Transport: mirrors[1].T, errs: []error{errFirst, errRetry}}
+		c, err := NewClient(mirrors, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("Push allocates %.1f objects per run, want 0", n)
+		defer c.Close()
+		reg, err := c.Malloc("db", 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(reg.Local, "equal")
+		err = c.Push(reg, 0, 5)
+		if !errors.Is(err, errRetry) {
+			t.Fatalf("push error = %v, want the failing mirror's retry error", err)
+		}
+		for _, i := range []int{0, 2} {
+			if got := mirrorBytes(t, r.servers[i], "db", 0, 5); string(got) != "equal" {
+				t.Errorf("mirror %d holds %q, want %q", i, got, "equal")
+			}
+		}
+		if c.Live() != 3 {
+			t.Errorf("Live = %d, want 3 (the failing mirror answers pings)", c.Live())
+		}
+		return err.Error()
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := r.client.PushMany(reg, ranges); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("PushMany allocates %.1f objects per run, want 0", n)
+	worker, inline := run(), run(WithSerialFanout())
+	if worker != inline {
+		t.Errorf("errors diverged:\nworkers %s\ninline  %s", worker, inline)
 	}
 }
 

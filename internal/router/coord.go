@@ -8,6 +8,7 @@ import (
 
 	"github.com/ics-forth/perseas/internal/core"
 	"github.com/ics-forth/perseas/internal/engine"
+	"github.com/ics-forth/perseas/internal/netram"
 )
 
 // The coordinator's durable state is one small mirrored region on shard
@@ -176,7 +177,7 @@ func (r *Router) publishDecision(live []*core.Tx, shardIdx []int) (gid uint64, s
 	// The decision record is the cross-shard atomic commit point and
 	// recovery reads it from whichever coordinator mirror it reaches
 	// first, so it must land on all of them even on a quorum client.
-	if err := r.nets[0].PushAcked(coord, off, n); err != nil {
+	if err := r.nets[0].PushWith(coord, []netram.Range{{Offset: off, Length: n}}, netram.PushOpts{AllAck: true}); err != nil {
 		r.mu.Lock()
 		r.coordFree = append(r.coordFree, slot)
 		r.mu.Unlock()
@@ -200,7 +201,7 @@ func (r *Router) releaseDecision(slot int) {
 	off := coordSlotOff(slot)
 	clear(coord.Local[off : off+8])
 	r.mu.Unlock()
-	_ = r.nets[0].PushAcked(coord, off, 8)
+	_ = r.nets[0].PushWith(coord, []netram.Range{{Offset: off, Length: 8}}, netram.PushOpts{AllAck: true})
 	r.mu.Lock()
 	if !r.crashed && r.coord != nil {
 		r.coordFree = append(r.coordFree, slot)

@@ -213,7 +213,7 @@ func (r *Router) MigrateDB(name string, dest int) error {
 		return fail(fmt.Errorf("router: record placement of %q: %w", name, err))
 	}
 	r.mu.Unlock()
-	if err := r.nets[0].PushAcked(coord, off, n); err != nil {
+	if err := r.nets[0].PushWith(coord, []netram.Range{{Offset: off, Length: n}}, netram.PushOpts{AllAck: true}); err != nil {
 		release()
 		return fail(fmt.Errorf("router: publish placement of %q: %w", name, err))
 	}

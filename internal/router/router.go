@@ -148,7 +148,7 @@ func New(shards []*core.Library) (*Router, error) {
 			return nil, fmt.Errorf("router: allocate coordinator region: %w", err)
 		}
 		writeCoordHeader(coord.Local, len(shards))
-		if err := r.nets[0].PushAcked(coord, 0, coordHeaderSize); err != nil {
+		if err := r.nets[0].PushWith(coord, []netram.Range{{Length: coordHeaderSize}}, netram.PushOpts{AllAck: true}); err != nil {
 			return nil, fmt.Errorf("router: publish coordinator header: %w", err)
 		}
 		r.coord = coord
@@ -291,7 +291,7 @@ func (r *Router) DropDB(name string) error {
 		return fmt.Errorf("router: retire placement of %q: %w", name, err)
 	}
 	r.mu.Unlock()
-	if err := r.nets[0].PushAcked(coord, off, n); err != nil {
+	if err := r.nets[0].PushWith(coord, []netram.Range{{Offset: off, Length: n}}, netram.PushOpts{AllAck: true}); err != nil {
 		// The override record is still durable; r.placed keeps the name
 		// pinned to it so live routing and a recovery agree (a recreation
 		// lands back on the override shard). Retrying DropDB clears it.
@@ -419,7 +419,7 @@ func (r *Router) Recover() error {
 	for _, s := range replayed {
 		off := coordSlotOff(s)
 		clear(coord.Local[off : off+8])
-		if err := r.nets[0].PushAcked(coord, off, 8); err != nil {
+		if err := r.nets[0].PushWith(coord, []netram.Range{{Offset: off, Length: 8}}, netram.PushOpts{AllAck: true}); err != nil {
 			return fmt.Errorf("router: retire decision record: %w", err)
 		}
 		r.metrics.replayed.Inc()
