@@ -2,35 +2,21 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecodeRequest exercises the request decoder with arbitrary bytes;
 // it must never panic and every successfully decoded request must
-// re-encode losslessly.
+// re-encode to a frame that decodes to the same value.
 func FuzzDecodeRequest(f *testing.F) {
-	seed, _ := EncodeRequest(&Request{Op: OpWrite, Seg: 3, Offset: 64, Data: []byte("abc")})
-	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
-	// Transaction-service shapes: pipelined ids, tx handles, a commit
-	// batch, and the fault ops.
-	txSeeds := []*Request{
-		{Op: OpTxBegin, ID: 1},
-		{Op: OpTxSetRange, ID: 2, Tx: 9, Seg: 1, Offset: 64, Size: 32},
-		{Op: OpTxCommit, ID: 3, Tx: 9, Batch: []BatchEntry{{Seg: 1, Offset: 64, Data: []byte("xy")}}},
-		{Op: OpTxAbort, ID: 4, Tx: 9},
-		{Op: OpTxOpenDB, ID: 5, Name: "db"},
-		{Op: OpTxCreateDB, ID: 6, Name: "db", Size: 4096},
-		{Op: OpTxRead, ID: 7, Seg: 1, Offset: 0, Length: 128},
-		{Op: OpTxLoad, ID: 8, Seg: 1, Offset: 0, Data: []byte("seed")},
-		{Op: OpTxInitDB, ID: 9, Seg: 1},
-		{Op: OpTxStats, ID: 10},
-		{Op: OpTxCrash, ID: 11, Size: 2},
-		{Op: OpTxRecover, ID: 12},
-	}
-	for _, req := range txSeeds {
-		s, _ := EncodeRequest(req)
+	for _, req := range opShapes() {
+		s, err := EncodeRequest(req)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -40,35 +26,31 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		out, err := EncodeRequest(req)
 		if err != nil {
-			// Decoded values can exceed encoder limits only via the
-			// name-length guard, which the decoder enforces too.
+			// The decoder enforces every encoder limit (MaxName), so a
+			// decoded request always re-encodes.
 			t.Fatalf("decoded request failed to re-encode: %v", err)
 		}
 		again, err := DecodeRequest(out)
 		if err != nil {
 			t.Fatalf("re-encoded request failed to decode: %v", err)
 		}
-		if again.Op != req.Op || again.Seg != req.Seg || again.Offset != req.Offset ||
-			again.Length != req.Length || again.Size != req.Size || again.Name != req.Name ||
-			again.ID != req.ID || again.Tx != req.Tx ||
-			!bytes.Equal(again.Data, req.Data) {
-			t.Fatalf("round trip diverged: %+v vs %+v", again, req)
+		if !reflect.DeepEqual(normRequest(again), normRequest(req)) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", again, req)
 		}
 	})
 }
 
 // FuzzDecodeResponse is the response-side twin.
 func FuzzDecodeResponse(f *testing.F) {
-	seed, _ := EncodeResponse(&Response{Status: StatusOK, Segments: []SegmentInfo{{ID: 1, Size: 64, Name: "x"}}})
-	f.Add(seed)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
-	txOK, _ := EncodeResponse(&Response{Status: StatusOK, ID: 42, Tx: 7})
-	f.Add(txOK)
-	busy, _ := EncodeResponse(&Response{Status: StatusError, ID: 43, Code: TxBusy, Err: "busy"})
-	f.Add(busy)
-	stats, _ := EncodeResponse(&Response{Status: StatusOK, ID: 44, Data: EncodeTxStats(&TxStats{Conns: 3})})
-	f.Add(stats)
+	for _, resp := range respShapes() {
+		s, err := EncodeResponse(resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		resp, err := DecodeResponse(body)
 		if err != nil {
@@ -76,18 +58,15 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		out, err := EncodeResponse(resp)
 		if err != nil {
-			if len(resp.Segments) == 0 {
-				t.Fatalf("decoded response failed to re-encode: %v", err)
-			}
-			return
+			// Segment names are bounded by MaxName on decode too.
+			t.Fatalf("decoded response failed to re-encode: %v", err)
 		}
 		again, err := DecodeResponse(out)
 		if err != nil {
 			t.Fatalf("re-encoded response failed to decode: %v", err)
 		}
-		if again.Status != resp.Status || again.ID != resp.ID ||
-			again.Tx != resp.Tx || again.Code != resp.Code {
-			t.Fatalf("round trip diverged: %+v vs %+v", again, resp)
+		if !reflect.DeepEqual(normResponse(again), normResponse(resp)) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", again, resp)
 		}
 	})
 }
